@@ -14,15 +14,26 @@
 //! converges once and then skips passes that provably cannot change anything.
 //! The acceptance bar is a ≥1.5× geomean over the suite (advisory under CI
 //! noise via `ZKVMOPT_SPEEDUP_ADVISORY=1`, like `engine_throughput`).
+//!
+//! A second, ungated scenario models the tuner's *cold* shape instead:
+//! distinct random depth-≤20 `Candidate::random` sequences, each applied
+//! once to a fresh module, through the manager and through the plain
+//! `run_pass` loop. The fitness cache already dedups repeated candidates, so
+//! this is the optimizer work a tuning search actually pays. Its times are
+//! recorded in the trajectory next to the repeated-pipeline speedup.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use zkvmopt_ir::Module;
 use zkvmopt_passes::{run_pass, OptLevel, PassConfig, PassExecutor, PassManager};
+use zkvmopt_tuner::Candidate;
 use zkvmopt_workloads::Workload;
 
 /// Pipeline repetitions per measurement — the tuner's duplicate-candidate /
 /// fixpoint shape.
 const REPEATS: usize = 8;
+
+/// Distinct random candidates per workload in the cold scenario.
+const COLD_PER_WORKLOAD: usize = 4;
 
 fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
@@ -107,6 +118,55 @@ fn bit_identity_gate(suite: &[(&'static Workload, Module)]) {
     );
 }
 
+/// Best-of-3 wall time of `f`, in ms.
+fn best_ms(f: &dyn Fn() -> usize) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            black_box(f());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The cold, distinct-sequence scenario: `COLD_PER_WORKLOAD` random
+/// candidates per workload (seeds `0..`, workloads round robin), each
+/// applied once. Returns `(manager ms, run_pass loop ms, sequences)`.
+fn cold_distinct(suite: &[(&'static Workload, Module)]) -> (f64, f64, usize) {
+    let cases: Vec<(&Module, Candidate)> = (0..suite.len() * COLD_PER_WORKLOAD)
+        .map(|k| (&suite[k % suite.len()].1, Candidate::random(k as u64, 20)))
+        .collect();
+    let manager_ms = best_ms(&|| {
+        cases
+            .iter()
+            .map(|(base, c)| {
+                let mut m = (*base).clone();
+                PassManager::from_names(c.passes.iter().copied()).run(&mut m, &c.pass_config());
+                m.size()
+            })
+            .sum()
+    });
+    let loop_ms = best_ms(&|| {
+        cases
+            .iter()
+            .map(|(base, c)| {
+                let mut m = (*base).clone();
+                let cfg = c.pass_config();
+                for p in &c.passes {
+                    run_pass(p, &mut m, &cfg);
+                }
+                m.size()
+            })
+            .sum()
+    });
+    println!(
+        "cold distinct sequences: {} random depth-<=20 candidates, each applied once: \
+         manager {manager_ms:.1} ms, run_pass loop {loop_ms:.1} ms",
+        cases.len()
+    );
+    (manager_ms, loop_ms, cases.len())
+}
+
 fn report(suite: &[(&'static Workload, Module)]) {
     zkvmopt_bench::header(
         "Pass-pipeline throughput: analysis-cached PassManager vs uncached run_pass (-O2)",
@@ -121,21 +181,12 @@ fn report(suite: &[(&'static Workload, Module)]) {
     );
     let mut speedups = Vec::new();
     for (w, base) in suite {
-        let time = |f: &dyn Fn() -> usize| -> f64 {
-            (0..3)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    black_box(f());
-                    t.elapsed().as_secs_f64() * 1e3
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        let legacy_ms = time(&|| {
+        let legacy_ms = best_ms(&|| {
             let mut m = base.clone();
             legacy_apply(&pm, &mut m, &cfg, REPEATS);
             m.size()
         });
-        let cached_ms = time(&|| {
+        let cached_ms = best_ms(&|| {
             let mut m = base.clone();
             cached_apply(&pm, &mut m, &cfg, REPEATS);
             m.size()
@@ -152,12 +203,16 @@ fn report(suite: &[(&'static Workload, Module)]) {
         "\ngeomean speedup over the {}-program suite: {g:.2}x",
         suite.len()
     );
+    let (cold_manager_ms, cold_loop_ms, cold_sequences) = cold_distinct(suite);
     zkvmopt_bench::trajectory::record(
         "pass_pipeline_throughput",
         &[
             ("geomean_speedup", g),
             ("workloads", suite.len() as f64),
             ("repeats", REPEATS as f64),
+            ("cold_manager_ms", cold_manager_ms),
+            ("cold_run_pass_ms", cold_loop_ms),
+            ("cold_sequences", cold_sequences as f64),
         ],
     );
     if std::env::var("ZKVMOPT_SPEEDUP_ADVISORY").is_ok_and(|v| v == "1") {

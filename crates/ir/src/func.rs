@@ -230,6 +230,13 @@ impl Function {
 
     /// Replace every use of value `from` (in instructions and terminators of
     /// reachable and unreachable blocks alike) with operand `to`.
+    ///
+    /// Each call walks the whole value arena (tombstones included) and every
+    /// terminator, so a pass that calls it once per removed instruction is
+    /// quadratic. Sweep passes instead record replacements in a
+    /// [`Forwarding`] map, forward each instruction's operands with
+    /// [`Function::forward_operands`] before inspecting it, and finish with
+    /// one [`Function::apply_forwarding`].
     pub fn replace_all_uses(&mut self, from: ValueId, to: Operand) {
         // Collect instruction ids first to appease the borrow checker.
         let all: Vec<ValueId> = (0..self.values.len() as u32).map(ValueId).collect();
@@ -249,6 +256,44 @@ impl Function {
                 }
             });
         }
+    }
+
+    /// Rewrite `v`'s operands through `fw`, so the instruction reads as it
+    /// would after [`Function::apply_forwarding`]. A no-op for parameters.
+    pub fn forward_operands(&mut self, v: ValueId, fw: &Forwarding) {
+        if fw.is_empty() {
+            return;
+        }
+        if let ValueDef::Inst(op) = &mut self.values[v.index()].def {
+            op.for_each_operand_mut(|o| *o = fw.resolve(*o));
+        }
+    }
+
+    /// Rewrite every operand of every arena value (placed in a block or not)
+    /// and every terminator through `fw` — the coverage of
+    /// [`Function::replace_all_uses`], for all recorded replacements in one
+    /// walk. Returns whether any operand changed.
+    pub fn apply_forwarding(&mut self, fw: &Forwarding) -> bool {
+        if fw.is_empty() {
+            return false;
+        }
+        let mut changed = false;
+        let mut rewrite = |o: &mut Operand| {
+            let r = fw.resolve(*o);
+            if r != *o {
+                *o = r;
+                changed = true;
+            }
+        };
+        for vd in &mut self.values {
+            if let ValueDef::Inst(op) = &mut vd.def {
+                op.for_each_operand_mut(&mut rewrite);
+            }
+        }
+        for b in &mut self.blocks {
+            b.term.for_each_operand_mut(&mut rewrite);
+        }
+        changed
     }
 
     /// Number of uses of `v` across all instructions and terminators.
@@ -317,6 +362,58 @@ impl Function {
             }
         }
         false
+    }
+}
+
+/// Replacements recorded by a pass that removes many instructions in one
+/// sweep: uses of a replaced value read as its replacement instead.
+///
+/// Recording is O(1) and [`Forwarding::resolve`] follows chains (`a` → `b`
+/// → constant), so the IR a pass sees through forwarding is exactly the IR
+/// an eager [`Function::replace_all_uses`] per removal would have left —
+/// provided each replacement is read from forwarded operands, never from a
+/// replaced value. Storage is indexed by value id and allocated on the
+/// first [`Forwarding::insert`].
+#[derive(Debug, Clone, Default)]
+pub struct Forwarding {
+    to: Vec<Option<Operand>>,
+    len: usize,
+}
+
+impl Forwarding {
+    /// An empty map.
+    pub fn new() -> Forwarding {
+        Forwarding::default()
+    }
+
+    /// Whether no replacement has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Record that uses of `from` now read `to`.
+    pub fn insert(&mut self, from: ValueId, to: Operand) {
+        let i = from.index();
+        if i >= self.to.len() {
+            self.to.resize(i + 1, None);
+        }
+        if self.to[i].replace(to).is_none() {
+            self.len += 1;
+        }
+    }
+
+    /// `o` with every recorded replacement applied, following chains. A
+    /// value mapped to itself resolves to itself; a cyclic map stops after
+    /// as many steps as it has entries.
+    pub fn resolve(&self, mut o: Operand) -> Operand {
+        for _ in 0..self.len {
+            let Operand::Value(v) = o else { break };
+            match self.to.get(v.index()).copied().flatten() {
+                Some(n) if n != o => o = n,
+                _ => break,
+            }
+        }
+        o
     }
 }
 
@@ -485,6 +582,76 @@ mod tests {
         f.remove_inst(f.entry, v);
         assert!(matches!(f.op(v), Some(Op::Nop)));
         assert!(f.blocks[0].insts.is_empty());
+    }
+
+    /// `p + 1`, `(p + 1) + 2` and `((p + 1) + 2) * 3`, returned from entry.
+    fn chain() -> (Function, [ValueId; 3]) {
+        let mut f = Function::new("f", vec![Ty::I32], Some(Ty::I32));
+        let mut prev = Operand::val(f.param(0));
+        let mut ids = [ValueId(0); 3];
+        for (i, (op, k)) in [(BinOp::Add, 1), (BinOp::Add, 2), (BinOp::Mul, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            let op = Op::Bin {
+                op,
+                a: prev,
+                b: Operand::i32(k),
+            };
+            ids[i] = f.add_inst(f.entry, op, Some(Ty::I32));
+            prev = Operand::val(ids[i]);
+        }
+        f.blocks[0].term = Term::Ret(Some(prev));
+        (f, ids)
+    }
+
+    #[test]
+    fn forwarding_follows_chains_to_the_end() {
+        let (mut f, [a, b, c]) = chain();
+        let mut fw = Forwarding::new();
+        fw.insert(b, Operand::val(a));
+        fw.insert(a, Operand::i32(7));
+        assert_eq!(fw.resolve(Operand::val(b)), Operand::i32(7));
+        assert_eq!(fw.resolve(Operand::val(c)), Operand::val(c));
+        f.forward_operands(c, &fw);
+        assert!(matches!(f.op(c), Some(Op::Bin { a, .. }) if a.is_const_val(7)));
+    }
+
+    #[test]
+    fn forwarding_rewrites_terminators() {
+        let (mut f, [_, _, c]) = chain();
+        let mut fw = Forwarding::new();
+        fw.insert(c, Operand::i32(9));
+        assert!(f.apply_forwarding(&fw));
+        match &f.blocks[0].term {
+            Term::Ret(Some(o)) => assert!(o.is_const_val(9)),
+            t => panic!("unexpected term {t:?}"),
+        }
+    }
+
+    #[test]
+    fn forwarding_rewrites_values_outside_blocks() {
+        let (mut f, [a, _, _]) = chain();
+        let orphan = f.new_value(Op::Copy(Operand::val(a)), Some(Ty::I32));
+        let mut fw = Forwarding::new();
+        fw.insert(a, Operand::i32(4));
+        let mut eager = f.clone();
+        eager.replace_all_uses(a, Operand::i32(4));
+        f.apply_forwarding(&fw);
+        assert_eq!(f.op(orphan), Some(&Op::Copy(Operand::i32(4))));
+        assert_eq!(f, eager, "same coverage as replace_all_uses");
+    }
+
+    #[test]
+    fn empty_forwarding_is_a_no_op() {
+        let (mut f, [a, _, _]) = chain();
+        let before = f.clone();
+        let fw = Forwarding::new();
+        assert!(fw.is_empty());
+        assert_eq!(fw.resolve(Operand::val(a)), Operand::val(a));
+        f.forward_operands(a, &fw);
+        assert!(!f.apply_forwarding(&fw));
+        assert_eq!(f, before);
     }
 
     #[test]

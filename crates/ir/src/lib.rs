@@ -53,7 +53,8 @@ pub use analysis::{stable_module_fingerprint, AnalysisCache, AnalysisKind, Prese
 pub use builder::FunctionBuilder;
 pub use features::{FeatureVector, FEATURE_DIM, FEATURE_LABELS};
 pub use func::{
-    BlockData, BlockId, FuncId, Function, Global, GlobalId, Module, ValueData, ValueDef, ValueId,
+    BlockData, BlockId, Forwarding, FuncId, Function, Global, GlobalId, Module, ValueData,
+    ValueDef, ValueId,
 };
 pub use inst::{BinOp, CastKind, Op, Operand, Pred, Term};
 pub use interp::{EcallHandler, Interp, InterpConfig, InterpError, InterpOutcome, NopEcalls};

@@ -5,7 +5,7 @@ use crate::util;
 use crate::PassConfig;
 use std::collections::{HashMap, HashSet};
 use zkvmopt_ir::analysis::AnalysisCache;
-use zkvmopt_ir::{BlockId, Function, Op, Operand, ValueId};
+use zkvmopt_ir::{BlockId, Forwarding, Function, Op, Operand, ValueId};
 
 /// Hashable key for pure expressions (commutative operands canonicalized).
 fn expr_key(f: &Function, op: &Op) -> Option<String> {
@@ -55,22 +55,25 @@ pub fn early_cse(
 
 fn early_cse_function(f: &mut Function, info: &ModuleInfo) -> bool {
     let mut changed = false;
+    let mut fw = Forwarding::new();
     for b in f.block_ids() {
         let mut avail: HashMap<String, ValueId> = HashMap::new();
         // Memory state: pointer operand -> last known value (from store or load).
         let mut mem: HashMap<Operand, Operand> = HashMap::new();
         let insts = f.blocks[b.index()].insts.clone();
         for v in insts {
+            f.forward_operands(v, &fw);
             let Some(op) = f.op(v).cloned() else { continue };
-            match &op {
+            let key = match &op {
                 Op::Load { ptr, .. } => {
                     if let Some(known) = mem.get(ptr) {
-                        f.replace_all_uses(v, *known);
+                        fw.insert(v, *known);
                         f.remove_inst(b, v);
                         changed = true;
                     } else {
                         mem.insert(*ptr, Operand::val(v));
                     }
+                    None
                 }
                 Op::Store { ptr, val, .. } => {
                     // Invalidate anything that may alias, then record.
@@ -78,47 +81,32 @@ fn early_cse_function(f: &mut Function, info: &ModuleInfo) -> bool {
                     let val = *val;
                     let keys: Vec<Operand> = mem.keys().copied().collect();
                     for k in keys {
-                        if k != ptr && util::may_alias(f, &k, &ptr) {
+                        if k != ptr && util::may_alias_through(f, &fw, &k, &ptr) {
                             mem.remove(&k);
                         }
                     }
                     mem.insert(ptr, val);
+                    None
                 }
-                Op::Call { callee, .. } => {
-                    let pure = info.is_readnone(*callee);
-                    if pure {
-                        if let Some(key) = expr_key(f, &op) {
-                            if let Some(&prev) = avail.get(&key) {
-                                f.replace_all_uses(v, Operand::val(prev));
-                                f.remove_inst(b, v);
-                                changed = true;
-                                continue;
-                            }
-                            avail.insert(key, v);
-                        }
-                    } else {
-                        mem.clear();
-                    }
-                }
-                Op::Ecall { .. } => {
+                Op::Call { callee, .. } if info.is_readnone(*callee) => expr_key(f, &op),
+                Op::Call { .. } | Op::Ecall { .. } => {
                     mem.clear();
+                    None
                 }
-                _ => {
-                    if op.is_speculatable() {
-                        if let Some(key) = expr_key(f, &op) {
-                            if let Some(&prev) = avail.get(&key) {
-                                f.replace_all_uses(v, Operand::val(prev));
-                                f.remove_inst(b, v);
-                                changed = true;
-                                continue;
-                            }
-                            avail.insert(key, v);
-                        }
-                    }
-                }
+                _ if op.is_speculatable() => expr_key(f, &op),
+                _ => None,
+            };
+            let Some(key) = key else { continue };
+            if let Some(&prev) = avail.get(&key) {
+                fw.insert(v, Operand::val(prev));
+                f.remove_inst(b, v);
+                changed = true;
+            } else {
+                avail.insert(key, v);
             }
         }
     }
+    f.apply_forwarding(&fw);
     changed
 }
 
@@ -188,6 +176,10 @@ fn gvn_function(
         }
     }
     let mut changed = false;
+    // Operands dominate their users, so by the time the dominator-tree walk
+    // reaches an instruction every value its pointer chain passes through
+    // has been visited and forwarded.
+    let mut fw = Forwarding::new();
     // Scoped table: stack of (key, value) insertions to undo on exit.
     let mut table: HashMap<String, ValueId> = HashMap::new();
     enum Step {
@@ -206,6 +198,7 @@ fn gvn_function(
                 let mut inserted = Vec::new();
                 let insts = f.blocks[b.index()].insts.clone();
                 for v in insts {
+                    f.forward_operands(v, &fw);
                     let Some(op) = f.op(v).cloned() else { continue };
                     let key = match &op {
                         Op::Load { ptr, ty } => {
@@ -231,7 +224,7 @@ fn gvn_function(
                     };
                     let Some(key) = key else { continue };
                     if let Some(&prev) = table.get(&key) {
-                        f.replace_all_uses(v, Operand::val(prev));
+                        fw.insert(v, Operand::val(prev));
                         f.remove_inst(b, v);
                         changed = true;
                     } else {
@@ -246,6 +239,7 @@ fn gvn_function(
             }
         }
     }
+    f.apply_forwarding(&fw);
     changed
 }
 

@@ -18,7 +18,9 @@ use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::dom::DomTree;
 use zkvmopt_ir::loops::{Loop, LoopForest};
-use zkvmopt_ir::{BinOp, BlockId, Function, Module, Op, Operand, Pred, Term, Ty, ValueId};
+use zkvmopt_ir::{
+    BinOp, BlockId, Forwarding, Function, Module, Op, Operand, Pred, Term, Ty, ValueId,
+};
 
 /// Loop blocks in a deterministic order (the set is hash-ordered; passes
 /// must not let hasher seeds influence which transformation happens first).
@@ -26,6 +28,42 @@ fn sorted_blocks(l: &Loop) -> Vec<BlockId> {
     let mut v: Vec<BlockId> = l.blocks.iter().copied().collect();
     v.sort();
     v
+}
+
+/// Mark every value used outside `l`: the operands of the instructions and
+/// terminators of every block not in the loop, reachable or not, in one walk
+/// over the function. Phis in `skip_phis_in` are not scanned (LCSSA's exit
+/// phis are the sanctioned way out of a loop).
+fn used_outside(f: &Function, l: &Loop, skip_phis_in: Option<BlockId>) -> Vec<bool> {
+    let mut used = vec![false; f.values.len()];
+    let mut mark = |o: &Operand| {
+        if let Operand::Value(v) = o {
+            used[v.index()] = true;
+        }
+    };
+    for b in f.block_ids() {
+        if l.contains(b) {
+            continue;
+        }
+        for &u in &f.blocks[b.index()].insts {
+            if let Some(op) = f.op(u) {
+                if skip_phis_in == Some(b) && op.is_phi() {
+                    continue;
+                }
+                op.for_each_operand(&mut mark);
+            }
+        }
+        f.blocks[b.index()].term.for_each_operand(&mut mark);
+    }
+    used
+}
+
+/// Whether any value defined in `l` is used outside it.
+fn loop_escapes(f: &Function, l: &Loop) -> bool {
+    let used = used_outside(f, l, None);
+    l.blocks
+        .iter()
+        .any(|b| f.blocks[b.index()].insts.iter().any(|v| used[v.index()]))
 }
 
 /// Fetch the loop-pass analysis triple from the cache (each is computed at
@@ -193,7 +231,7 @@ pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
     for _ in 0..8 {
         // LCSSA only inserts phis and rewrites operands — the cached
         // analyses stay valid throughout, including across rounds.
-        let (cfg, _dom, forest) = analyze(f, ac);
+        let (cfg, dom, forest) = analyze(f, ac);
         let mut did = false;
         for l in &forest.loops {
             if l.exits.len() != 1 {
@@ -205,89 +243,51 @@ pub(crate) fn lcssa_function(f: &mut Function, ac: &mut AnalysisCache) -> bool {
                 continue;
             }
             let exit_preds = cfg.unique_preds(exit);
-            // Find loop-defined values with uses outside the loop.
-            let mut escaping: Vec<(ValueId, Ty)> = Vec::new();
+            // Loop-defined values with uses outside the loop, with their
+            // defining block.
+            let used = used_outside(f, l, Some(exit));
+            let mut escaping: Vec<(ValueId, Ty, BlockId)> = Vec::new();
             for b in sorted_blocks(l) {
                 for &v in &f.blocks[b.index()].insts {
-                    let Some(ty) = f.ty(v) else { continue };
-                    let mut outside_use = false;
-                    for b2 in f.block_ids() {
-                        if l.contains(b2) {
-                            continue;
-                        }
-                        for &u in &f.blocks[b2.index()].insts {
-                            if let Some(op) = f.op(u) {
-                                // An existing LCSSA phi in the exit is fine.
-                                if b2 == exit && op.is_phi() {
-                                    continue;
-                                }
-                                op.for_each_operand(|o| {
-                                    outside_use |= *o == Operand::Value(v);
-                                });
-                            }
-                        }
-                        f.blocks[b2.index()]
-                            .term
-                            .for_each_operand(|o| outside_use |= *o == Operand::Value(v));
-                        if outside_use {
-                            break;
-                        }
-                    }
-                    if outside_use {
-                        escaping.push((v, ty));
+                    match f.ty(v) {
+                        Some(ty) if used[v.index()] => escaping.push((v, ty, b)),
+                        _ => {}
                     }
                 }
             }
-            for (v, ty) in escaping {
+            let mut to_phi = Forwarding::new();
+            for (v, ty, def_bb) in escaping {
                 // The value must dominate every exit pred to be phi-able;
                 // in a single-exit loop with the def dominating the exiting
                 // block this holds for our shapes — verify defensively.
-                let dom = ac.dom(f);
-                let def_bb = f
-                    .block_ids()
-                    .into_iter()
-                    .find(|b| f.blocks[b.index()].insts.contains(&v))
-                    .expect("def block");
                 if !exit_preds.iter().all(|p| dom.dominates(def_bb, *p)) {
                     continue;
                 }
                 let incoming: Vec<(BlockId, Operand)> =
                     exit_preds.iter().map(|p| (*p, Operand::val(v))).collect();
                 let phi = f.insert_inst(exit, 0, Op::Phi { incoming }, Some(ty));
-                // Replace uses outside the loop (except the new phi itself).
-                for b2 in f.block_ids() {
-                    if l.contains(b2) {
+                to_phi.insert(v, Operand::val(phi));
+                did = true;
+            }
+            // Replace uses outside the loop, except in exit phis (the new
+            // ones included), in one walk.
+            if to_phi.is_empty() {
+                continue;
+            }
+            for b2 in f.block_ids() {
+                if l.contains(b2) {
+                    continue;
+                }
+                for i in 0..f.blocks[b2.index()].insts.len() {
+                    let u = f.blocks[b2.index()].insts[i];
+                    if b2 == exit && f.op(u).is_some_and(Op::is_phi) {
                         continue;
                     }
-                    let insts = f.blocks[b2.index()].insts.clone();
-                    for u in insts {
-                        if u == phi {
-                            continue;
-                        }
-                        if b2 == exit {
-                            if let Some(op) = f.op(u) {
-                                if op.is_phi() {
-                                    continue;
-                                }
-                            }
-                        }
-                        if let Some(op) = f.op_mut(u) {
-                            op.for_each_operand_mut(|o| {
-                                if *o == Operand::Value(v) {
-                                    *o = Operand::val(phi);
-                                }
-                            });
-                        }
-                    }
-                    let mut term = f.blocks[b2.index()].term.clone();
-                    term.for_each_operand_mut(|o| {
-                        if *o == Operand::Value(v) {
-                            *o = Operand::val(phi);
-                        }
-                    });
-                    f.blocks[b2.index()].term = term;
+                    f.forward_operands(u, &to_phi);
                 }
-                did = true;
+                f.blocks[b2.index()]
+                    .term
+                    .for_each_operand_mut(|o| *o = to_phi.resolve(*o));
             }
         }
         changed |= did;
@@ -672,7 +672,12 @@ pub fn loop_unroll(m: &mut Module, cfg: &PassConfig) -> bool {
 
 /// `loop-unroll-and-jam` (simplified): unrolls only innermost loops of
 /// depth ≥ 2 nests, with a tighter budget — approximating the jam benefit
-/// without outer-loop fusion (documented in DESIGN.md).
+/// without outer-loop fusion.
+///
+/// **Substitution note:** LLVM unrolls the *outer* loop and fuses ("jams")
+/// the copies of the inner loop into one. The study only needs the pass's
+/// effect on dynamic instruction count and code size in nests, which the
+/// half-budget inner unroll reproduces without a fusion legality check.
 pub fn loop_unroll_and_jam(m: &mut Module, cfg: &PassConfig) -> bool {
     let mut changed = false;
     for f in &mut m.funcs {
@@ -766,10 +771,12 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
         .retarget(l.header, cloned_header);
     // Cloned header phis: they still have incoming from (entry_from (as
     // original pred name), cloned latch). Keep only the entry edge and
-    // collapse, recording substitutions for the back-edge remap below.
-    let mut collapsed: HashMap<ValueId, Operand> = HashMap::new();
+    // collapse, recording substitutions for the back-edge remap below and
+    // for one rewrite of the clone at the end.
+    let mut collapsed = Forwarding::new();
     let insts = f.blocks[cloned_header.index()].insts.clone();
     for v in insts {
+        f.forward_operands(v, &collapsed);
         let Some(Op::Phi { incoming }) = f.op(v).cloned() else {
             continue;
         };
@@ -783,7 +790,6 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
             .map(|(_, o)| *o)
             .collect();
         if let Some(val) = entry_vals.first() {
-            f.replace_all_uses(v, *val);
             collapsed.insert(v, *val);
             f.remove_inst(cloned_header, v);
         }
@@ -794,20 +800,10 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
     // back-edge value is another header phi whose clone was just removed.
     let insts = f.blocks[l.header.index()].insts.clone();
     let remap = |o: &Operand| -> Operand {
-        let mut cur = match o {
+        collapsed.resolve(match o {
             Operand::Value(v) => *vmap.get(v).unwrap_or(&Operand::Value(*v)),
             c => *c,
-        };
-        for _ in 0..collapsed.len() + 1 {
-            match cur {
-                Operand::Value(v) => match collapsed.get(&v) {
-                    Some(n) => cur = *n,
-                    None => break,
-                },
-                _ => break,
-            }
-        }
-        cur
+        })
     };
     for v in insts {
         let Some(Op::Phi { incoming }) = f.op(v).cloned() else {
@@ -832,6 +828,7 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
             *incoming = new_incoming;
         }
     }
+    f.apply_forwarding(&collapsed);
     cloned_latch
 }
 
@@ -874,27 +871,7 @@ pub fn loop_deletion(
             }
             // No loop-defined value used outside.
             let exit = l.exits[0];
-            let mut escapes = false;
-            for b in sorted_blocks(l) {
-                for &v in &f.blocks[b.index()].insts {
-                    for b2 in f.block_ids() {
-                        if l.contains(b2) {
-                            continue;
-                        }
-                        for &u in &f.blocks[b2.index()].insts {
-                            if let Some(op) = f.op(u) {
-                                op.for_each_operand(|o| {
-                                    escapes |= *o == Operand::Value(v);
-                                });
-                            }
-                        }
-                        f.blocks[b2.index()]
-                            .term
-                            .for_each_operand(|o| escapes |= *o == Operand::Value(v));
-                    }
-                }
-            }
-            if escapes {
+            if loop_escapes(f, l) {
                 continue;
             }
             // Exit phis would be undefined; they must not exist (LCSSA
@@ -1216,26 +1193,8 @@ pub fn loop_fission(
             continue;
         }
         // Nothing defined in the loop may be used outside it.
-        for b in sorted_blocks(l) {
-            for &v in &f.blocks[b.index()].insts {
-                for b2 in f.block_ids() {
-                    if l.contains(b2) {
-                        continue;
-                    }
-                    let mut used = false;
-                    for &u in &f.blocks[b2.index()].insts {
-                        if let Some(op) = f.op(u) {
-                            op.for_each_operand(|o| used |= *o == Operand::Value(v));
-                        }
-                    }
-                    f.blocks[b2.index()]
-                        .term
-                        .for_each_operand(|o| used |= *o == Operand::Value(v));
-                    if used {
-                        continue 'loops;
-                    }
-                }
-            }
+        if loop_escapes(f, l) {
+            continue;
         }
         // Clone the loop once per extra base; each copy keeps stores to
         // exactly one base.
@@ -1345,26 +1304,8 @@ pub fn loop_unswitch(
             }
         }
         // Nothing defined inside may be used outside.
-        for b in sorted_blocks(l) {
-            for &v in &f.blocks[b.index()].insts {
-                for b2 in f.block_ids() {
-                    if l.contains(b2) {
-                        continue;
-                    }
-                    let mut used = false;
-                    for &u in &f.blocks[b2.index()].insts {
-                        if let Some(op) = f.op(u) {
-                            op.for_each_operand(|o| used |= *o == Operand::Value(v));
-                        }
-                    }
-                    f.blocks[b2.index()]
-                        .term
-                        .for_each_operand(|o| used |= *o == Operand::Value(v));
-                    if used {
-                        continue 'loops;
-                    }
-                }
-            }
+        if loop_escapes(f, l) {
+            continue;
         }
         // Find an invariant conditional branch inside (not the header's
         // own exit test).
@@ -1642,26 +1583,13 @@ fn loop_liveness(f: &Function, l: &Loop) -> (LiveVals, LiveVals) {
         f.blocks[b.index()].term.for_each_operand(&mut consider);
     }
     live_in.sort_by_key(|(v, _)| *v);
+    let used = used_outside(f, l, None);
     let mut live_out: Vec<(ValueId, Ty)> = Vec::new();
     for b in sorted_blocks(l) {
         for &v in &f.blocks[b.index()].insts {
-            let Some(ty) = f.ty(v) else { continue };
-            let mut used_out = false;
-            for b2 in f.block_ids() {
-                if l.contains(b2) {
-                    continue;
-                }
-                for &u in &f.blocks[b2.index()].insts {
-                    if let Some(op) = f.op(u) {
-                        op.for_each_operand(|o| used_out |= *o == Operand::Value(v));
-                    }
-                }
-                f.blocks[b2.index()]
-                    .term
-                    .for_each_operand(|o| used_out |= *o == Operand::Value(v));
-            }
-            if used_out {
-                live_out.push((v, ty));
+            match f.ty(v) {
+                Some(ty) if used[v.index()] => live_out.push((v, ty)),
+                _ => {}
             }
         }
     }
@@ -1750,8 +1678,12 @@ pub fn loop_predication(
 }
 
 /// `loop-versioning-licm` (simplified): `loop-simplify` + `lcssa` + `licm`.
-/// Runtime alias-check versioning is not modelled; our static alias analysis
-/// already separates alloca/global bases (documented in DESIGN.md).
+///
+/// **Substitution note:** LLVM versions the loop behind runtime alias
+/// checks so `licm` may hoist through possibly-aliasing pointers. That is
+/// not modelled: the static alias analysis here already tells distinct
+/// alloca and global bases apart, and pointers it cannot resolve are simply
+/// not hoisted through.
 pub fn loop_versioning_licm(
     f: &mut Function,
     ac: &mut AnalysisCache,
@@ -1863,7 +1795,7 @@ pub fn loop_rotate(
 
 fn rotate_one(f: &mut Function, ac: &mut AnalysisCache) -> bool {
     let (cfg, _dom, forest) = analyze(f, ac);
-    'loops: for l in &forest.loops {
+    for l in &forest.loops {
         if l.latches.len() != 1 || l.exits.len() != 1 {
             continue;
         }
@@ -1910,24 +1842,9 @@ fn rotate_one(f: &mut Function, ac: &mut AnalysisCache) -> bool {
             continue;
         }
         // No header value may be used outside the loop (pre-LCSSA).
-        for &v in &header_insts {
-            for b2 in f.block_ids() {
-                if l.contains(b2) {
-                    continue;
-                }
-                let mut used = false;
-                for &u in &f.blocks[b2.index()].insts {
-                    if let Some(op) = f.op(u) {
-                        op.for_each_operand(|o| used |= *o == Operand::Value(v));
-                    }
-                }
-                f.blocks[b2.index()]
-                    .term
-                    .for_each_operand(|o| used |= *o == Operand::Value(v));
-                if used {
-                    continue 'loops;
-                }
-            }
+        let used = used_outside(f, l, None);
+        if header_insts.iter().any(|v| used[v.index()]) {
+            continue;
         }
         // Clone the condition computation into the preheader (entry values)
         // and into the latch (back-edge values).
@@ -1982,7 +1899,7 @@ fn rotate_one(f: &mut Function, ac: &mut AnalysisCache) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zkvmopt_ir::{FunctionBuilder, Module};
+    use zkvmopt_ir::{CastKind, FunctionBuilder, Module};
 
     /// A function whose loop header *is* the entry block: no block outside
     /// the loop branches to the header, so no dedicated preheader can exist
@@ -2002,6 +1919,85 @@ mod tests {
         b.switch_to(exit);
         b.ret(Some(Operand::val(i)));
         b.finish()
+    }
+
+    /// Two nested loops. The inner loop exits into the outer latch, which
+    /// reads the inner IV `j` through an exit phi and the inner exit test
+    /// `cj` directly; the outer IV `i` is returned from the outer exit.
+    /// Returns the function, the (outer, inner) loops and `[i, j, cj]`.
+    fn nested_loops() -> (Function, Loop, Loop, [ValueId; 3]) {
+        let mut b = FunctionBuilder::new("main", vec![], Some(Ty::I32));
+        let entry = b.current_block();
+        let (outer_h, inner_h, inner_b, latch, exit) = (
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+            b.new_block(),
+        );
+        b.br(outer_h);
+        b.switch_to(outer_h);
+        let i = b.phi(Ty::I32, vec![(entry, Operand::i32(0))]);
+        let ci = b.icmp(Pred::Slt, Operand::val(i), Operand::i32(4));
+        b.cond_br(Operand::val(ci), inner_h, exit);
+        b.switch_to(inner_h);
+        let j = b.phi(Ty::I32, vec![(outer_h, Operand::i32(0))]);
+        let cj = b.icmp(Pred::Slt, Operand::val(j), Operand::i32(3));
+        b.cond_br(Operand::val(cj), inner_b, latch);
+        b.switch_to(inner_b);
+        let j2 = b.bin(BinOp::Add, Operand::val(j), Operand::i32(1));
+        b.add_phi_incoming(j, inner_b, Operand::val(j2));
+        b.br(inner_h);
+        b.switch_to(latch);
+        let e = b.phi(Ty::I32, vec![(inner_h, Operand::val(j))]);
+        let z = b.cast(CastKind::Zext, Operand::val(cj), Ty::I32);
+        let s = b.bin(BinOp::Add, Operand::val(e), Operand::val(z));
+        let i2 = b.bin(BinOp::Add, Operand::val(i), Operand::val(s));
+        b.add_phi_incoming(i, latch, Operand::val(i2));
+        b.br(outer_h);
+        b.switch_to(exit);
+        b.ret(Some(Operand::val(i)));
+        let f = b.finish();
+        zkvmopt_ir::verify::verify_function(&f, &Module::new()).expect("valid SSA");
+        let cfg = Cfg::new(&f);
+        let forest = LoopForest::new(&f, &cfg, &DomTree::new(&f, &cfg));
+        let by_header = |h: BlockId| forest.loops.iter().find(|l| l.header == h).cloned();
+        let outer = by_header(outer_h).expect("outer loop");
+        let inner = by_header(inner_h).expect("inner loop");
+        assert_eq!(inner.exits, vec![latch]);
+        (f, outer, inner, [i, j, cj])
+    }
+
+    #[test]
+    fn used_outside_skips_exit_phis_only_when_asked() {
+        let (f, _, inner, [_, j, _]) = nested_loops();
+        let latch = inner.exits[0];
+        assert!(!used_outside(&f, &inner, Some(latch))[j.index()]);
+        assert!(used_outside(&f, &inner, None)[j.index()]);
+    }
+
+    #[test]
+    fn used_outside_counts_terminator_uses() {
+        let (f, outer, _, [i, _, _]) = nested_loops();
+        let used = used_outside(&f, &outer, None);
+        let escaping: Vec<ValueId> = sorted_blocks(&outer)
+            .into_iter()
+            .flat_map(|b| f.blocks[b.index()].insts.clone())
+            .filter(|v| used[v.index()])
+            .collect();
+        assert_eq!(escaping, vec![i], "only the IV returned from the exit");
+        assert!(loop_escapes(&f, &outer));
+    }
+
+    #[test]
+    fn used_outside_of_an_inner_loop_includes_the_enclosing_loop() {
+        let (f, outer, inner, [_, j, cj]) = nested_loops();
+        let latch = inner.exits[0];
+        assert!(outer.contains(latch));
+        assert!(used_outside(&f, &inner, Some(latch))[cj.index()]);
+        assert!(loop_escapes(&f, &inner));
+        let used = used_outside(&f, &outer, None);
+        assert!(!used[j.index()] && !used[cj.index()]);
     }
 
     /// Regression for the `l.preheader(..).expect("preheader")` panic path

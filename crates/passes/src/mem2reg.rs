@@ -14,7 +14,7 @@ use crate::util;
 use crate::PassConfig;
 use std::collections::{HashMap, HashSet};
 use zkvmopt_ir::analysis::AnalysisCache;
-use zkvmopt_ir::{BlockId, Function, Op, Operand, Ty, ValueId};
+use zkvmopt_ir::{BlockId, Forwarding, Function, Op, Operand, Ty, ValueId};
 
 fn zero_of(ty: Ty) -> Operand {
     match ty {
@@ -148,8 +148,9 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
             children[d.index()].push(b);
         }
     }
-    // Substitutions: load value -> operand (resolved transitively at the end).
-    let mut subst: HashMap<ValueId, Operand> = HashMap::new();
+    // Substitutions: load value -> operand (a load's replacement may itself
+    // be a replaced load; forwarding resolves the chain).
+    let mut subst = Forwarding::new();
     let mut kill: Vec<(BlockId, ValueId)> = Vec::new();
     let mut stacks: Vec<Vec<Operand>> = vars.iter().map(|(_, ty)| vec![zero_of(*ty)]).collect();
 
@@ -228,33 +229,16 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
         }
     }
 
-    // Resolve substitution chains (a load's replacement may itself be a
-    // replaced load).
-    let resolve = |mut o: Operand, subst: &HashMap<ValueId, Operand>| -> Operand {
-        for _ in 0..subst.len() + 1 {
-            match o {
-                Operand::Value(v) => match subst.get(&v) {
-                    Some(n) => o = *n,
-                    None => return o,
-                },
-                c => return c,
-            }
-        }
-        o
-    };
-    // Apply substitutions everywhere (including phi incoming lists).
+    // Apply substitutions to every placed instruction (including phi
+    // incoming lists) and terminator.
     for b in f.block_ids() {
-        let insts = f.blocks[b.index()].insts.clone();
-        for v in insts {
-            if let Some(op) = f.op(v) {
-                let mut tmp = op.clone();
-                tmp.for_each_operand_mut(|o| *o = resolve(*o, &subst));
-                *f.op_mut(v).expect("inst") = tmp;
-            }
+        for i in 0..f.blocks[b.index()].insts.len() {
+            let v = f.blocks[b.index()].insts[i];
+            f.forward_operands(v, &subst);
         }
-        let mut term = f.blocks[b.index()].term.clone();
-        term.for_each_operand_mut(|o| *o = resolve(*o, &subst));
-        f.blocks[b.index()].term = term;
+        f.blocks[b.index()]
+            .term
+            .for_each_operand_mut(|o| *o = subst.resolve(*o));
     }
     // Remove the loads, stores, and allocas.
     for (b, v) in kill {
@@ -271,11 +255,16 @@ fn promote_vars(f: &mut Function, ac: &mut AnalysisCache, vars: Vec<(ValueId, Ty
 /// with that value. Iterates to a fixed point.
 pub fn collapse_trivial_phis(f: &mut Function) -> bool {
     let mut changed = false;
+    let mut fw = Forwarding::new();
     loop {
         let mut again = false;
         for b in f.block_ids() {
             let insts = f.blocks[b.index()].insts.clone();
             for v in insts {
+                if !f.op(v).is_some_and(Op::is_phi) {
+                    continue;
+                }
+                f.forward_operands(v, &fw);
                 let Some(Op::Phi { incoming }) = f.op(v) else {
                     continue;
                 };
@@ -296,7 +285,7 @@ pub fn collapse_trivial_phis(f: &mut Function) -> bool {
                 }
                 if trivial {
                     if let Some(u) = unique {
-                        f.replace_all_uses(v, u);
+                        fw.insert(v, u);
                         f.remove_inst(b, v);
                         again = true;
                     }
@@ -305,6 +294,7 @@ pub fn collapse_trivial_phis(f: &mut Function) -> bool {
         }
         changed |= again;
         if !again {
+            f.apply_forwarding(&fw);
             return changed;
         }
     }

@@ -7,7 +7,7 @@ use crate::PassConfig;
 use std::collections::{HashMap, HashSet, VecDeque};
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
-use zkvmopt_ir::{BlockId, Function, Module, Op, Operand, Pred, Term, ValueId};
+use zkvmopt_ir::{BlockId, Forwarding, Function, Module, Op, Operand, Pred, Term, ValueId};
 
 /// The SCCP lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,23 +211,19 @@ fn analyze(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
 /// Apply an analysis result: substitute constants, fold branches, and drop
 /// non-executable blocks.
 fn transform(f: &mut Function, res: &SccpResult) -> bool {
-    let mut changed = false;
+    let mut consts = Forwarding::new();
     for (i, lat) in res.values.iter().enumerate() {
         if let Lat::Const(c) = lat {
             let v = ValueId(i as u32);
-            // Skip parameters (handled by ipsccp) and value-less slots.
-            if f.op(v).is_none() {
-                continue;
-            }
-            if f.op(v).is_none_or(|op| op.has_side_effects()) {
-                continue;
-            }
-            if f.use_count(v) > 0 {
-                f.replace_all_uses(v, *c);
-                changed = true;
+            // Skip parameters (handled by ipsccp), value-less slots and
+            // side-effecting instructions.
+            if f.op(v).is_some_and(|op| !op.has_side_effects()) {
+                consts.insert(v, *c);
             }
         }
     }
+    // Changed iff some constant value had a use.
+    let mut changed = f.apply_forwarding(&consts);
     // Fold branches whose condition became constant.
     for b in f.block_ids() {
         if !res.executable.contains(&b) {
@@ -328,15 +324,13 @@ pub fn ipsccp(m: &mut Module, cfg: &PassConfig) -> bool {
                 vec![Lat::Bottom; f.params.len()]
             };
             // Substitute known-constant params.
+            let mut consts = Forwarding::new();
             for (i, l) in lats.iter().enumerate() {
                 if let Lat::Const(c) = l {
-                    let p = f.param(i);
-                    if f.use_count(p) > 0 {
-                        f.replace_all_uses(p, *c);
-                        round_changed = true;
-                    }
+                    consts.insert(f.param(i), *c);
                 }
             }
+            round_changed |= f.apply_forwarding(&consts);
             let res = analyze(f, &lats);
             if let Lat::Const(c) = res.ret {
                 const_rets.insert(fi, c);
@@ -346,21 +340,18 @@ pub fn ipsccp(m: &mut Module, cfg: &PassConfig) -> bool {
         // Replace call results with constant returns (keeping the call for
         // side effects; DCE cleans up pure ones).
         for f in &mut m.funcs {
+            let mut consts = Forwarding::new();
             for b in f.block_ids() {
-                let insts = f.blocks[b.index()].insts.clone();
-                for v in insts {
+                for &v in &f.blocks[b.index()].insts {
                     let Some(Op::Call { callee, .. }) = f.op(v) else {
                         continue;
                     };
                     if let Some(c) = const_rets.get(&callee.index()) {
-                        if f.use_count(v) > 0 {
-                            let c = *c;
-                            f.replace_all_uses(v, c);
-                            round_changed = true;
-                        }
+                        consts.insert(v, *c);
                     }
                 }
             }
+            round_changed |= f.apply_forwarding(&consts);
         }
         changed |= round_changed;
         if !round_changed {

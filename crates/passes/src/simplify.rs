@@ -13,7 +13,7 @@ use crate::PassConfig;
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::{
-    BinOp, BlockId, CastKind, Function, Module, Op, Operand, Pred, Term, Ty, ValueId,
+    BinOp, BlockId, CastKind, Forwarding, Function, Module, Op, Operand, Pred, Term, Ty, ValueId,
 };
 
 /// Fold constants and algebraic identities; never creates instructions.
@@ -37,11 +37,13 @@ pub(crate) fn instsimplify_module(m: &mut Module) -> bool {
 
 pub(crate) fn instsimplify_function(f: &mut Function) -> bool {
     let mut changed = false;
+    let mut fw = Forwarding::new();
     loop {
         let mut local = false;
         for b in f.block_ids() {
             let insts = f.blocks[b.index()].insts.clone();
             for v in insts {
+                f.forward_operands(v, &fw);
                 let Some(op) = f.op(v) else { continue };
                 let repl = util::const_fold(f, op)
                     .or_else(|| util::algebraic_simplify(op))
@@ -52,7 +54,7 @@ pub(crate) fn instsimplify_function(f: &mut Function) -> bool {
                     });
                 if let Some(r) = repl {
                     if r != Operand::Value(v) {
-                        f.replace_all_uses(v, r);
+                        fw.insert(v, r);
                         f.remove_inst(b, v);
                         local = true;
                     }
@@ -64,6 +66,7 @@ pub(crate) fn instsimplify_function(f: &mut Function) -> bool {
             break;
         }
     }
+    f.apply_forwarding(&fw);
     changed |= util::sweep_dead(f);
     changed
 }

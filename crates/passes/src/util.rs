@@ -1,7 +1,9 @@
 //! Shared analysis and mutation helpers used across passes.
 
 use zkvmopt_ir::cfg::Cfg;
-use zkvmopt_ir::{BinOp, BlockId, CastKind, Function, GlobalId, Module, Op, Operand, Ty, ValueId};
+use zkvmopt_ir::{
+    BinOp, BlockId, CastKind, Forwarding, Function, GlobalId, Module, Op, Operand, Ty, ValueId,
+};
 
 /// What a pointer is ultimately based on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,9 +18,15 @@ pub enum PtrBase {
 
 /// Trace a pointer operand through `gep`/`copy` chains to its base.
 pub fn ptr_base(f: &Function, o: &Operand) -> PtrBase {
+    ptr_base_through(f, &Forwarding::new(), o)
+}
+
+/// [`ptr_base`] on the IR as it reads once `fw` is applied: every operand
+/// on the chain is resolved through `fw` first.
+pub fn ptr_base_through(f: &Function, fw: &Forwarding, o: &Operand) -> PtrBase {
     let mut cur = *o;
     for _ in 0..64 {
-        match cur {
+        match fw.resolve(cur) {
             Operand::Const { .. } => return PtrBase::Unknown,
             Operand::Value(v) => match f.op(v) {
                 Some(Op::Alloca { .. }) => return PtrBase::Alloca(v),
@@ -70,7 +78,12 @@ pub fn same_address(f: &Function, a: &Operand, b: &Operand) -> bool {
 
 /// Conservative may-alias for two pointer operands.
 pub fn may_alias(f: &Function, a: &Operand, b: &Operand) -> bool {
-    match (ptr_base(f, a), ptr_base(f, b)) {
+    may_alias_through(f, &Forwarding::new(), a, b)
+}
+
+/// [`may_alias`] on the IR as it reads once `fw` is applied.
+pub fn may_alias_through(f: &Function, fw: &Forwarding, a: &Operand, b: &Operand) -> bool {
+    match (ptr_base_through(f, fw, a), ptr_base_through(f, fw, b)) {
         (PtrBase::Alloca(x), PtrBase::Alloca(y)) => x == y,
         (PtrBase::Global(x), PtrBase::Global(y)) => x == y,
         (PtrBase::Alloca(_), PtrBase::Global(_)) | (PtrBase::Global(_), PtrBase::Alloca(_)) => {
@@ -270,27 +283,14 @@ pub fn cleanup_phis(f: &mut Function) -> bool {
         }
     }
     // A collapsed phi's replacement may itself be a phi that collapses in
-    // this same batch; resolve chains before rewriting or uses would point
-    // at tombstoned values.
-    let map: std::collections::HashMap<ValueId, Operand> =
-        singles.iter().map(|(_, v, op)| (*v, *op)).collect();
-    let resolve = |mut o: Operand| -> Operand {
-        for _ in 0..map.len() + 1 {
-            match o {
-                Operand::Value(v) => match map.get(&v) {
-                    Some(n) if *n != o => o = *n,
-                    _ => return o,
-                },
-                c => return c,
-            }
-        }
-        o
-    };
+    // this same batch; forwarding resolves such chains.
+    let mut fw = Forwarding::new();
     for (b, v, op) in singles {
-        f.replace_all_uses(v, resolve(op));
+        fw.insert(v, op);
         f.remove_inst(b, v);
         changed = true;
     }
+    f.apply_forwarding(&fw);
     changed
 }
 
