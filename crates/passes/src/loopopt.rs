@@ -742,11 +742,14 @@ fn unroll_function(
             break;
         };
         // Peel `trips` iterations; the residual loop then runs zero times and
-        // its header check folds away.
+        // its header check folds away. Each peel reads only the original
+        // loop, so the clones are rewritten once, after the last peel.
         let mut entry_from = pre;
+        let mut collapsed = Forwarding::new();
         for _ in 0..trips {
-            entry_from = peel_once(f, &l, entry_from);
+            entry_from = peel_once(f, &l, entry_from, &mut collapsed);
         }
+        f.apply_forwarding(&collapsed);
         changed = true;
         crate::mem2reg::collapse_trivial_phis(f);
         util::remove_unreachable(f);
@@ -758,8 +761,14 @@ fn unroll_function(
 
 /// Peel one iteration of `l`, entered from `entry_from` (the preheader or the
 /// latch-clone of the previous peel). Returns the block that now feeds the
-/// original header (the cloned latch).
-fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
+/// original header (the cloned latch). The clone's collapsed header phis
+/// are recorded in `collapsed`; the caller applies it.
+fn peel_once(
+    f: &mut Function,
+    l: &Loop,
+    entry_from: BlockId,
+    collapsed: &mut Forwarding,
+) -> BlockId {
     // Clone with back edges pointing at the *original* header.
     let (bmap, vmap) = clone_loop(f, l, Some(l.header));
     let cloned_header = bmap[&l.header];
@@ -771,12 +780,10 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
         .retarget(l.header, cloned_header);
     // Cloned header phis: they still have incoming from (entry_from (as
     // original pred name), cloned latch). Keep only the entry edge and
-    // collapse, recording substitutions for the back-edge remap below and
-    // for one rewrite of the clone at the end.
-    let mut collapsed = Forwarding::new();
+    // collapse, recording substitutions for the back-edge remap below.
     let insts = f.blocks[cloned_header.index()].insts.clone();
     for v in insts {
-        f.forward_operands(v, &collapsed);
+        f.forward_operands(v, collapsed);
         let Some(Op::Phi { incoming }) = f.op(v).cloned() else {
             continue;
         };
@@ -828,7 +835,6 @@ fn peel_once(f: &mut Function, l: &Loop, entry_from: BlockId) -> BlockId {
             *incoming = new_incoming;
         }
     }
-    f.apply_forwarding(&collapsed);
     cloned_latch
 }
 

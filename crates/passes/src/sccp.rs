@@ -4,7 +4,7 @@
 use crate::framework::FunctionContext;
 use crate::util;
 use crate::PassConfig;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use zkvmopt_ir::analysis::AnalysisCache;
 use zkvmopt_ir::cfg::Cfg;
 use zkvmopt_ir::{BlockId, Forwarding, Function, Module, Op, Operand, Pred, Term, ValueId};
@@ -37,6 +37,13 @@ struct SccpResult {
 
 /// Run the SCCP analysis on one function. `arg_lattice` supplies per-param
 /// facts (from `ipsccp`); `Bottom` for a standalone run.
+///
+/// Executable blocks are re-scanned in reverse postorder until nothing
+/// changes. A block is first scanned after all its dominators, so no
+/// operand reads `Top` when evaluated and every transfer function is
+/// monotone from there on: the result is the one greatest fixpoint, in any
+/// scan order. Reverse postorder reaches it in a few rounds even on long
+/// unrolled chains, where an unordered scan moves facts one block a round.
 fn analyze(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
     let n = f.values.len();
     let mut values = vec![Lat::Top; n];
@@ -52,7 +59,7 @@ fn analyze(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
     }
     let mut exec_edges: HashSet<(BlockId, BlockId)> = HashSet::new();
     let mut exec_blocks: HashSet<BlockId> = HashSet::new();
-    let mut block_queue: VecDeque<BlockId> = VecDeque::new();
+    let rpo = Cfg::new(f).rpo().to_vec();
     let mut ret = Lat::Top;
 
     let eval_operand = |values: &[Lat], o: &Operand| -> Lat {
@@ -62,7 +69,6 @@ fn analyze(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
         }
     };
 
-    block_queue.push_back(f.entry);
     exec_blocks.insert(f.entry);
     // Iterate to fixpoint: re-scan executable blocks whenever facts change.
     let mut changed = true;
@@ -70,8 +76,10 @@ fn analyze(f: &Function, arg_lattice: &[Lat]) -> SccpResult {
     while changed && guard < 10_000 {
         changed = false;
         guard += 1;
-        let blocks: Vec<BlockId> = exec_blocks.iter().copied().collect();
-        for b in blocks {
+        for &b in &rpo {
+            if !exec_blocks.contains(&b) {
+                continue;
+            }
             for &v in &f.blocks[b.index()].insts {
                 let Some(op) = f.op(v) else { continue };
                 let new = match op {

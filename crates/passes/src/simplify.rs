@@ -832,30 +832,30 @@ fn remove_phi_edge(f: &mut Function, block: BlockId, pred: BlockId) {
 
 /// Merge `b2` into `b1` when `b1 -> b2` is the only edge between them and
 /// `b2`'s only predecessor is `b1`.
+///
+/// A merge changes no other block's predecessor count, so it never makes
+/// or breaks another merge; and a chain's head precedes its members in
+/// reverse postorder. One walk in which each surviving block absorbs its
+/// whole chain therefore reaches the fixpoint that restarting after every
+/// merge would.
 fn merge_straightline(f: &mut Function) -> bool {
+    let cfg_ = Cfg::new(f);
+    let mut fw = Forwarding::new();
     let mut changed = false;
-    loop {
-        let cfg_ = Cfg::new(f);
-        let mut merged = false;
-        for &b1 in cfg_.rpo() {
-            let Term::Br(b2) = f.blocks[b1.index()].term else {
-                continue;
-            };
-            if b2 == f.entry || b2 == b1 {
-                continue;
-            }
-            if cfg_.preds(b2).len() != 1 {
-                continue;
+    for &b1 in cfg_.rpo() {
+        // An absorbed block's terminator is `Unreachable`.
+        while let Term::Br(b2) = f.blocks[b1.index()].term {
+            if b2 == f.entry || b2 == b1 || cfg_.preds(b2).len() != 1 {
+                break;
             }
             if f.blocks[b2.index()].term.successors().contains(&b2) {
-                continue; // self-loop latch; merging would orphan the loop
+                break; // self-loop latch; merging would orphan the loop
             }
             // Collapse phis in b2 (single pred ⇒ trivial).
             let insts2 = f.blocks[b2.index()].insts.clone();
             for v in &insts2 {
                 if let Some(Op::Phi { incoming }) = f.op(*v) {
-                    let val = incoming[0].1;
-                    f.replace_all_uses(*v, val);
+                    fw.insert(*v, fw.resolve(incoming[0].1));
                     f.remove_inst(b2, *v);
                 }
             }
@@ -876,14 +876,11 @@ fn merge_straightline(f: &mut Function) -> bool {
                 }
             }
             f.blocks[b1.index()].term = term2;
-            merged = true;
-            break;
-        }
-        changed |= merged;
-        if !merged {
-            return changed;
+            changed = true;
         }
     }
+    f.apply_forwarding(&fw);
+    changed
 }
 
 /// Retarget predecessors of empty forwarding blocks (`{} -> br X`) to X.
